@@ -13,12 +13,8 @@
 //     that as a failed gate).
 //
 //  2. A closed-loop client sweep (1/4/16 clients): offered load vs
-//     throughput and exact p50/p99 submit-to-completion latency, plus the
-//     dispatcher-count axis — the 16-client load replayed at dispatchers=4
-//     must answer checksum-identical to the single-dispatcher run, conserve
-//     queries exactly, and (given ≥4 hardware threads) clear a 2x
-//     served-throughput floor; the d4/d1 ratio is exported as the
-//     bench.serve.dispatcher_scaling_speedup gauge for bench_compare.
+//     throughput and exact p50/p99 submit-to-completion latency; every run
+//     must conserve queries exactly and serve all of them.
 //
 //  3. An overload demonstration: an open-loop burst against a 64-deep
 //     admission queue, shedding accounted exactly (served + shed ==
@@ -157,34 +153,24 @@ bool compare_batched_vs_naive(bench::PerfRecord& rec, const char* name,
 }
 
 /// One closed-loop measurement: `clients` threads each submit `per_client`
-/// queries through `dispatchers` shards, waiting on every answer before the
-/// next. Besides throughput and latency samples it folds each client's
-/// answers into a deterministic checksum (per-client, in submission order,
-/// combined positionally) so runs at different dispatcher counts can be
-/// required to answer identically.
+/// queries, waiting on every answer before the next.
 struct ClosedLoopRun {
   double throughput = 0.0;
   std::vector<double> latencies;
-  std::uint64_t checksum = 0;
   serve::ServeStats stats;
 };
 
 ClosedLoopRun closed_loop_run(const Graph& h, std::size_t clients,
-                              std::size_t per_client,
-                              std::size_t dispatchers) {
-  ServeOptions options;
-  options.dispatchers = dispatchers;
-  QueryEngine engine(h, options);
+                              std::size_t per_client) {
+  QueryEngine engine(h);
   engine.start();
   std::vector<std::vector<double>> latencies(clients);
-  std::vector<std::uint64_t> sums(clients, 0);
   Timer wall;
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       Rng rng(31 * (c + 1));
       latencies[c].reserve(per_client);
-      std::uint64_t sum = 0;
       for (std::size_t i = 0; i < per_client; ++i) {
         Query q;
         // 1-in-4 route queries keep the lazy next-hop tables hot too.
@@ -194,14 +180,8 @@ ClosedLoopRun closed_loop_run(const Graph& h, std::size_t clients,
                   ? static_cast<Vertex>(rng.uniform(16))
                   : static_cast<Vertex>(rng.uniform(h.num_vertices()));
         q.v = static_cast<Vertex>(rng.uniform(h.num_vertices()));
-        const QueryResult r = engine.submit(q).get();
-        latencies[c].push_back(r.latency_us);
-        sum = sum * 1099511628211ull +
-              (r.distance == kUnreachable
-                   ? 0xdeadull
-                   : static_cast<std::uint64_t>(r.distance) + 1);
+        latencies[c].push_back(engine.submit(q).get().latency_us);
       }
-      sums[c] = sum;
     });
   }
   for (auto& t : threads) t.join();
@@ -209,10 +189,8 @@ ClosedLoopRun closed_loop_run(const Graph& h, std::size_t clients,
   engine.stop();
 
   ClosedLoopRun run;
-  for (std::size_t c = 0; c < clients; ++c) {
-    run.latencies.insert(run.latencies.end(), latencies[c].begin(),
-                         latencies[c].end());
-    run.checksum += sums[c] * (c + 1);
+  for (const auto& per : latencies) {
+    run.latencies.insert(run.latencies.end(), per.begin(), per.end());
   }
   run.throughput = static_cast<double>(run.latencies.size()) / elapsed;
   run.stats = engine.stats();
@@ -221,81 +199,36 @@ ClosedLoopRun closed_loop_run(const Graph& h, std::size_t clients,
 
 /// Section 2: closed-loop clients, each waiting for its answer before
 /// sending the next query. Reports throughput and exact latency tails for
-/// 1/4/16 clients on a single dispatcher, then replays the 16-client load
-/// at dispatchers=4: the sharded run must answer checksum-identical to the
-/// single-dispatcher one, conserve queries exactly, and — on machines with
-/// at least 4 hardware threads — clear a 2x served-throughput floor.
+/// 1/4/16 clients; returns false unless every run conserves queries and
+/// serves all of them.
 bool closed_loop_sweep(const Graph& h, std::size_t per_client) {
-  constexpr double kDispatcherSpeedupFloor = 2.0;
   std::printf("\nclosed-loop sweep (%zu queries/client):\n", per_client);
   std::printf("  %-10s %12s %10s %10s %10s\n", "clients", "throughput/s",
               "p50 us", "p99 us", "served");
-  auto& reg = obs::MetricsRegistry::instance();
   const std::vector<double> qs{0.5, 0.99};
   bool ok = true;
-  ClosedLoopRun base16;
-
-  const auto check_conservation = [&](const ClosedLoopRun& run,
-                                      std::size_t expected) {
+  for (std::size_t clients : {1u, 4u, 16u}) {
+    const ClosedLoopRun run = closed_loop_run(h, clients, per_client);
+    const auto tails = exact_percentiles(run.latencies, qs);
     const auto& s = run.stats;
+    std::printf("  %-10zu %12.0f %10.1f %10.1f %10" PRIu64 "\n", clients,
+                run.throughput, tails[0], tails[1], s.served);
+    obs::MetricsRegistry::instance()
+        .gauge("bench.serve.closed_loop_" + std::to_string(clients) +
+               "_throughput")
+        .set(run.throughput);
     if (s.served + s.shed_admission + s.shed_deadline + s.shed_degraded +
             s.shed_shutdown !=
         s.queries) {
       std::printf("FAIL: closed loop does not conserve queries\n");
       ok = false;
     }
-    if (s.served != expected) {
+    if (s.served != clients * per_client) {
       std::printf("FAIL: closed loop served %" PRIu64 " of %zu (a "
                   "closed-loop client never overruns admission)\n",
-                  s.served, expected);
+                  s.served, clients * per_client);
       ok = false;
     }
-  };
-
-  for (std::size_t clients : {1u, 4u, 16u}) {
-    const ClosedLoopRun run = closed_loop_run(h, clients, per_client, 1);
-    const auto tails = exact_percentiles(run.latencies, qs);
-    std::printf("  %-10zu %12.0f %10.1f %10.1f %10" PRIu64 "\n", clients,
-                run.throughput, tails[0], tails[1], run.stats.served);
-    reg.gauge("bench.serve.closed_loop_" + std::to_string(clients) +
-              "_throughput")
-        .set(run.throughput);
-    check_conservation(run, clients * per_client);
-    if (clients == 16) base16 = run;
-  }
-
-  // The dispatcher axis: the same 16-client load against 4 shards.
-  const ClosedLoopRun d4 = closed_loop_run(h, 16, per_client, 4);
-  const auto tails = exact_percentiles(d4.latencies, qs);
-  std::printf("  %-10s %12.0f %10.1f %10.1f %10" PRIu64 "\n", "16 (d=4)",
-              d4.throughput, tails[0], tails[1], d4.stats.served);
-  reg.gauge("bench.serve.closed_loop_16_d4_throughput").set(d4.throughput);
-  check_conservation(d4, 16 * per_client);
-
-  if (d4.checksum != base16.checksum) {
-    std::printf("FAIL: dispatchers=4 answer checksum %016" PRIx64
-                " != dispatchers=1 %016" PRIx64 "\n",
-                d4.checksum, base16.checksum);
-    ok = false;
-  }
-
-  const double speedup = d4.throughput / base16.throughput;
-  reg.gauge("bench.serve.dispatcher_scaling_speedup").set(speedup);
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("  dispatchers=4 vs 1 at 16 clients: %.2fx served throughput\n",
-              speedup);
-  if (cores >= 4) {
-    if (speedup < kDispatcherSpeedupFloor) {
-      std::printf("FAIL: dispatcher scaling %.2fx below the %.1fx floor\n",
-                  speedup, kDispatcherSpeedupFloor);
-      ok = false;
-    }
-  } else {
-    // One or two cores cannot demonstrate shard parallelism; the checksum
-    // and conservation gates above still ran, and bench_compare gates the
-    // exported speedup gauge against the committed multi-core baseline.
-    std::printf("  (%.1fx floor not gated here: %u hardware threads)\n",
-                kDispatcherSpeedupFloor, cores);
   }
   return ok;
 }

@@ -156,7 +156,7 @@ std::string RequestTracer::to_json() const {
     first = false;
     os << "{\"trace_id\":" << e.trace_id << ",\"batch_id\":" << e.batch_id
        << ",\"epoch\":" << e.epoch << ",\"kind\":" << e.kind
-       << ",\"outcome\":" << e.outcome << ",\"dispatcher\":" << e.dispatcher
+       << ",\"outcome\":" << e.outcome
        << ",\"cache_hit\":" << (e.cache_hit ? "true" : "false")
        << ",\"start_us\":" << json_number(e.start_us)
        << ",\"queue_us\":" << json_number(e.queue_us)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <optional>
 #include <span>
@@ -313,15 +312,10 @@ struct SoakDriver {
       // feed tail exemplars, so the concurrent-tracing machinery soaks
       // under churn too (and under the sanitizers in CI).
       serve_options.trace.exemplars = true;
-      serve_options.dispatchers = options.dispatchers;
       query_engine.emplace(*store, serve_options);
       if (options.inject_stale_cache_bug) {
         query_engine->inject_stale_cache_bug();
       }
-      // Sharded mode serves through submit() futures, which need the
-      // dispatcher threads running. (The engine's destructor stops them,
-      // so crash-recovery teardown needs no extra handling.)
-      if (options.dispatchers > 1) query_engine->start();
     };
     // Serving stats accumulate per engine incarnation; fold them into the
     // result before an incarnation dies (crash) and at the end.
@@ -445,20 +439,9 @@ struct SoakDriver {
             wave_queries(options.seed, w, options.qps, g.num_vertices());
         const serve::SnapshotRef snap = store->pin();
         // The soak loop is single-threaded, so no publish races this wave:
-        // sharded dispatchers adopt exactly snap's epoch, and the answers
-        // stay checkable against the pinned snapshot either way.
-        std::vector<serve::QueryResult> answers;
-        if (options.dispatchers > 1) {
-          std::vector<std::future<serve::QueryResult>> futures;
-          futures.reserve(batch.size());
-          for (const serve::Query& q : batch) {
-            futures.push_back(query_engine->submit(q));
-          }
-          answers.reserve(batch.size());
-          for (auto& f : futures) answers.push_back(f.get());
-        } else {
-          answers = query_engine->serve_batch(batch);
-        }
+        // the batch adopts exactly snap's epoch.
+        const std::vector<serve::QueryResult> answers =
+            query_engine->serve_batch(batch);
         result.queries_submitted += batch.size();
         ++result.query_batches;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -66,10 +65,6 @@ struct ServeMetrics {
       obs::MetricsRegistry::instance().counter("serve.epoch.invalidations");
   obs::Counter& epoch_rows_dropped =
       obs::MetricsRegistry::instance().counter("serve.epoch.rows_dropped");
-  obs::Counter& steals =
-      obs::MetricsRegistry::instance().counter("serve.steals");
-  obs::Counter& stolen_queries =
-      obs::MetricsRegistry::instance().counter("serve.stolen_queries");
   obs::HistogramMetric& batch_queries =
       obs::MetricsRegistry::instance().histogram("serve.batch.queries");
   obs::HistogramMetric& latency_us =
@@ -88,16 +83,6 @@ std::uint64_t now_us() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-/// How long an idle dispatcher naps between steal-victim probes. Producers
-/// notify their own shard's cv directly — and nudge one sibling's cv when
-/// their shard's backlog is building — so this only backstops how fast an
-/// idle shard notices a sibling backlog whose nudge was lost. The interval
-/// doubles up to the max while the whole engine stays quiescent (a 1 ms
-/// poll forever is ~1000 wakeups/sec/shard of idle CPU) and resets the
-/// moment any work is seen.
-constexpr std::chrono::milliseconds kStealPollInterval{1};
-constexpr std::chrono::milliseconds kStealPollIntervalMax{64};
 
 constexpr std::uint64_t kNoDeadline =
     std::numeric_limits<std::uint64_t>::max();
@@ -133,6 +118,7 @@ QueryEngine::QueryEngine(SnapshotStore& store, ServeOptions options)
       n_(store.num_vertices()),
       serving_(store.pin()),
       tables_(serving_->spanner, options.seed),
+      dispatch_context_(std::max<std::size_t>(1, options.cache_rows)),
       sync_context_(std::max<std::size_t>(1, options.cache_rows)) {
   init_engine();
 }
@@ -145,6 +131,7 @@ QueryEngine::QueryEngine(const Graph& h, ServeOptions options)
       n_(h.num_vertices()),
       serving_(store_->pin()),
       tables_(serving_->spanner, options.seed),
+      dispatch_context_(std::max<std::size_t>(1, options.cache_rows)),
       sync_context_(std::max<std::size_t>(1, options.cache_rows)) {
   init_engine();
 }
@@ -153,18 +140,6 @@ void QueryEngine::init_engine() {
   serving_epoch_.store(serving_->epoch, std::memory_order_relaxed);
   n_epochs_adopted_.store(1, std::memory_order_relaxed);
   rebind_serving_graph();
-  const std::size_t count = std::max<std::size_t>(1, options_.dispatchers);
-  const std::size_t cap = std::max<std::size_t>(1, options_.cache_rows);
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
-  for (std::size_t i = 0; i < count; ++i) {
-    auto shard = std::make_unique<Shard>(cap);
-    const std::string prefix = "serve.shard." + std::to_string(i) + ".";
-    shard->c_queries = &reg.counter(prefix + "queries");
-    shard->c_batches = &reg.counter(prefix + "batches");
-    shard->c_steals = &reg.counter(prefix + "steals");
-    shard->c_stolen = &reg.counter(prefix + "stolen_queries");
-    shards_.push_back(std::move(shard));
-  }
 }
 
 QueryEngine::~QueryEngine() { stop(); }
@@ -187,8 +162,11 @@ QueryResult QueryEngine::serve_one(const Query& query) {
 
 std::vector<QueryResult> QueryEngine::serve_batch(
     std::span<const Query> queries) {
+  // Validate the whole batch before any tally moves: a rejected batch must
+  // not leave queries counted that are neither served nor shed.
   std::size_t distance = 0;
   for (const Query& q : queries) {
+    DCS_REQUIRE(q.u < n_ && q.v < n_, "query vertex out of range");
     if (q.kind == QueryKind::kDistance) ++distance;
   }
   n_queries_.fetch_add(queries.size(), std::memory_order_relaxed);
@@ -197,10 +175,10 @@ std::vector<QueryResult> QueryEngine::serve_batch(
   metrics().queries.inc(queries.size());
   metrics().distance_queries.inc(distance);
   metrics().route_queries.inc(queries.size() - distance);
-  // Sync callers share one context; dispatcher shards keep running on
-  // theirs concurrently.
+  // Sync callers share one context; the dispatcher keeps running on its
+  // own concurrently.
   std::lock_guard sync(sync_mutex_);
-  if (!options_.trace.exemplars) return execute(queries, sync_context_, 0);
+  if (!options_.trace.exemplars) return execute(queries, sync_context_);
 
   // Traced synchronous path: the batch-call latency is the whole story (no
   // queue/dispatch phases), so the whole batch shares one total_us. Ids come
@@ -209,7 +187,7 @@ std::vector<QueryResult> QueryEngine::serve_batch(
   // (the ≤3% tracing-overhead gate in bench_serve holds the line).
   obs::RequestTracer& tracer = obs::RequestTracer::instance();
   BatchMeta meta;
-  std::vector<QueryResult> results = execute(queries, sync_context_, 0, &meta);
+  std::vector<QueryResult> results = execute(queries, sync_context_, &meta);
   const double done_obs = obs::Trace::now_us();
   const double total_us = done_obs - meta.start_obs_us;
   const std::uint64_t first_id = tracer.next_trace_id_block(
@@ -239,7 +217,6 @@ std::vector<QueryResult> QueryEngine::serve_batch(
       ex.epoch = r.epoch;
       ex.kind = static_cast<std::uint32_t>(queries[i].kind);
       ex.outcome = static_cast<std::uint32_t>(r.outcome);
-      ex.dispatcher = r.dispatcher;
       ex.cache_hit = r.cache_hit;
       ex.start_us = meta.start_obs_us;
       ex.execute_us = r.breakdown.execute_us;
@@ -253,7 +230,6 @@ std::vector<QueryResult> QueryEngine::serve_batch(
 
 void QueryEngine::maybe_adopt(std::shared_lock<std::shared_mutex>& lock) {
   // Fast path: two atomic loads per batch, no store mutex, no writer lock.
-  // N dispatchers at steady epoch cost nothing here.
   if (store_->current_epoch() ==
       serving_epoch_.load(std::memory_order_acquire)) {
     return;
@@ -267,7 +243,7 @@ void QueryEngine::maybe_adopt(std::shared_lock<std::shared_mutex>& lock) {
 }
 
 void QueryEngine::adopt_locked() {
-  // pin_if_newer is the once-per-epoch guarantee: of the dispatchers that
+  // pin_if_newer is the once-per-epoch guarantee: of the executors that
   // raced to this exclusive section, the first pins and adopts; the rest
   // see their epoch already current and return without re-pinning,
   // re-dropping, or re-binding (the store counts their skips).
@@ -280,15 +256,14 @@ void QueryEngine::adopt_locked() {
   const std::size_t dropped = cached_rows_locked();
   if (!stale_cache_bug_.load(std::memory_order_relaxed)) {
     sync_context_.rows.clear();
-    for (auto& shard : shards_) shard->context.rows.clear();
+    dispatch_context_.rows.clear();
   }
   // Re-sync the lock-free row-count mirror and the owner watermarks: every
   // executor is quiescent under this exclusive lock, so the recomputed sum
   // is exact (and nonzero on the injected stale-cache path, which keeps
   // its rows).
   sync_context_.rows_exported = sync_context_.rows.size();
-  for (auto& shard : shards_)
-    shard->context.rows_exported = shard->context.rows.size();
+  dispatch_context_.rows_exported = dispatch_context_.rows.size();
   n_cached_rows_.store(static_cast<std::int64_t>(cached_rows_locked()),
                        std::memory_order_relaxed);
   serving_ = std::move(latest);
@@ -312,7 +287,6 @@ bool QueryEngine::should_shed_degraded() const {
 
 std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
                                               ServeContext& ctx,
-                                              std::uint32_t dispatcher_id,
                                               BatchMeta* meta) {
   std::shared_lock lock(substrate_mutex_);
   DCS_TRACE_SPAN("serve_batch");
@@ -333,17 +307,14 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
     meta->start_obs_us = start_obs_us;
   }
   std::vector<QueryResult> results(queries.size());
-  for (QueryResult& r : results) r.dispatcher = dispatcher_id;
 
   // Graceful degradation: the pinned certificate is below the serving
   // policy, so the whole batch sheds with a structured reason instead of
   // stalling behind the repair plane or serving uncertified answers.
   if (should_shed_degraded()) {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      DCS_REQUIRE(queries[i].u < n_ && queries[i].v < n_,
-                  "query vertex out of range");
-      results[i].outcome = QueryOutcome::kShedDegraded;
-      results[i].epoch = epoch;
+    for (QueryResult& r : results) {
+      r.outcome = QueryOutcome::kShedDegraded;
+      r.epoch = epoch;
     }
     n_shed_degraded_.fetch_add(queries.size(), std::memory_order_relaxed);
     m.shed_degraded.inc(queries.size());
@@ -377,7 +348,6 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
   std::vector<Vertex> route_dests;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
-    DCS_REQUIRE(q.u < n_ && q.v < n_, "query vertex out of range");
     if (q.kind == QueryKind::kDistance) {
       const Vertex iu = to_int(q.u);
       if (const std::vector<Dist>* row = ctx.rows.find(iu)) {
@@ -398,8 +368,8 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
   // sources. A single-chunk batch (the common closed-loop shape) sweeps
   // inline on this thread: the shared pool admits one top-level batch at a
   // time, so routing every sweep through it would serialize the dispatcher
-  // shards right back into one lane. Multi-chunk batches still fan out on
-  // the pool. Materialized rows land in locals first so eviction order
+  // behind concurrent serve_batch() callers. Multi-chunk batches still fan
+  // out on the pool. Materialized rows land in locals first so eviction order
   // cannot snatch a row before its queries are answered.
   if (!missing_sources.empty()) {
     n_sources_.fetch_add(missing_sources.size(), std::memory_order_relaxed);
@@ -524,78 +494,29 @@ std::vector<QueryResult> QueryEngine::execute(std::span<const Query> queries,
 
 void QueryEngine::start() {
   std::lock_guard lifecycle(lifecycle_mutex_);
-  if (running_.load()) return;
-  stopping_.store(false);
-  running_.store(true);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->dispatcher = std::thread([this, i] { dispatcher_loop(i); });
+  if (dispatcher_.joinable()) return;
+  {
+    std::lock_guard lock(queue_mutex_);
+    accepting_ = true;
   }
-  accepting_.store(true);
+  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 void QueryEngine::stop() {
   std::lock_guard lifecycle(lifecycle_mutex_);
-  if (!running_.load()) return;
-  // Order matters for the shed-safety argument (see the file header):
-  // accepting_ falls before stopping_ rises, so a producer that observes
-  // the engine still accepting enqueued before any dispatcher could have
-  // seen the stop.
-  accepting_.store(false);
-  stopping_.store(true);
-  // Publish the stop under each shard's mutex before notifying. A bare
-  // store+notify can land between a dispatcher's predicate check
-  // (queue.empty() && !stopping_) and its cv.wait() — the notify is lost
-  // and a single-shard dispatcher, which waits unbounded, sleeps forever
-  // with this join() deadlocked behind it. Passing through the mutex
-  // guarantees the dispatcher is either before its predicate check (and
-  // will see stopping_) or already waiting (and receives the notify).
-  for (auto& shard : shards_) {
-    { std::lock_guard publish(shard->mutex); }
-    shard->cv.notify_all();
+  if (!dispatcher_.joinable()) return;
+  // The flag clears under queue_mutex_, so a producer either enqueued
+  // before this (and the dispatcher drains it before exiting) or sees the
+  // engine closed (and sheds). Clearing it under the mutex also closes the
+  // lost wakeup: a bare store+notify could land between the dispatcher's
+  // predicate check and its cv wait, leaving it asleep forever with join()
+  // deadlocked behind it.
+  {
+    std::lock_guard lock(queue_mutex_);
+    accepting_ = false;
   }
-  for (auto& shard : shards_) {
-    if (shard->dispatcher.joinable()) shard->dispatcher.join();
-  }
-  stopping_.store(false);
-  running_.store(false);
-}
-
-bool QueryEngine::reserve_pending() {
-  const std::size_t cap = options_.admission.queue_capacity;
-  if (cap == 0) {
-    pending_total_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  std::size_t cur = pending_total_.load(std::memory_order_relaxed);
-  while (admission_.admit(cur)) {
-    if (pending_total_.compare_exchange_weak(cur, cur + 1,
-                                             std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::size_t QueryEngine::route_shard(const Query& query) {
-  const std::size_t count = shards_.size();
-  if (count == 1) return 0;
-  if (options_.routing == ShardRouting::kHash) {
-    // Source-affine: mix the query's BFS endpoint (splitmix64 finalizer)
-    // so a repeat endpoint lands on the shard whose cache holds its row.
-    std::uint64_t h = query.kind == QueryKind::kDistance ? query.u : query.v;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-    h ^= h >> 31;
-    return h % count;
-  }
-  // Two-choice least-loaded over a rotating pair of shards.
-  const std::uint64_t r = rotor_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = r % count;
-  const std::size_t b = (r + 1) % count;
-  return shards_[a]->depth.load(std::memory_order_relaxed) <=
-                 shards_[b]->depth.load(std::memory_order_relaxed)
-             ? a
-             : b;
+  queue_cv_.notify_all();
+  dispatcher_.join();
 }
 
 std::future<QueryResult> QueryEngine::submit(const Query& query) {
@@ -613,18 +534,13 @@ std::future<QueryResult> QueryEngine::submit(const Query& query) {
   }
   bool admitted = false;
   bool shutdown = false;
-  std::size_t depth_after = 0;
-  const std::size_t shard_index = route_shard(query);
-  Shard& shard = *shards_[shard_index];
   {
-    std::lock_guard lock(shard.mutex);
-    if (!accepting_.load()) {
-      // The engine is not accepting (never started, stopping, or
-      // stopped): shed with a terminal outcome instead of aborting the
-      // producer. See the header for why this check under the shard mutex
-      // cannot strand an enqueued query behind an exiting dispatcher.
+    std::lock_guard lock(queue_mutex_);
+    if (!accepting_) {
+      // Never started, stopping, or stopped: shed with a terminal outcome
+      // instead of aborting the producer.
       shutdown = true;
-    } else if (reserve_pending()) {
+    } else if (admission_.admit(queue_.size())) {
       Pending pending;
       pending.query = query;
       pending.enqueue_us = now;
@@ -632,14 +548,12 @@ std::future<QueryResult> QueryEngine::submit(const Query& query) {
       pending.ctx = ctx;
       pending.enqueue_obs_us = enqueue_obs_us;
       pending.promise = std::move(promise);
-      shard.queue.push_back(std::move(pending));
-      depth_after = shard.queue.size();
-      shard.depth.store(depth_after, std::memory_order_relaxed);
+      queue_.push_back(std::move(pending));
       admitted = true;
     }
   }
   // Intake tallies are atomics/registry counters; keeping them outside the
-  // shard mutex keeps producers from serializing on bookkeeping.
+  // queue mutex keeps producers from serializing on bookkeeping.
   n_queries_.fetch_add(1, std::memory_order_relaxed);
   ServeMetrics& m = metrics();
   m.queries.inc();
@@ -651,18 +565,7 @@ std::future<QueryResult> QueryEngine::submit(const Query& query) {
     m.route_queries.inc();
   }
   if (admitted) {
-    shard.cv.notify_one();
-    if (depth_after > 1 && shards_.size() > 1) {
-      // Backlog building behind a busy dispatcher: nudge one sibling so an
-      // idle (possibly backed-off) dispatcher steals now rather than on
-      // its next poll. Lossy by design — no sibling mutex is taken, so a
-      // nudge landing between a sibling's predicate check and its wait can
-      // vanish; the backed-off steal poll is the backstop.
-      const std::size_t count = shards_.size();
-      const std::uint64_t r =
-          nudge_rotor_.fetch_add(1, std::memory_order_relaxed);
-      shards_[(shard_index + 1 + r % (count - 1)) % count]->cv.notify_one();
-    }
+    queue_cv_.notify_one();
   } else if (shutdown) {
     n_shed_shutdown_.fetch_add(1, std::memory_order_relaxed);
     m.shed_shutdown.inc();
@@ -685,155 +588,59 @@ std::future<QueryResult> QueryEngine::submit(const Query& query) {
   return future;
 }
 
-void QueryEngine::drain_window(Shard& shard, std::vector<Pending>& out) {
+void QueryEngine::drain_window(std::vector<Pending>& out) {
   const std::size_t window =
-      options_.batch_window == 0 ? shard.queue.size() : options_.batch_window;
-  const std::size_t take = std::min(shard.queue.size(), window);
+      options_.batch_window == 0 ? queue_.size() : options_.batch_window;
+  const std::size_t take = std::min(queue_.size(), window);
   out.reserve(out.size() + take);
   // EDF: when the backlog exceeds one window, drain the most deadline-
   // pressed queries first so they are not shed behind fresh arrivals that
-  // could afford to wait. edf_select keeps this O(Q) under the shard
-  // mutex instead of stable_sorting the whole backlog.
-  if (options_.edf_dispatch && take < shard.queue.size()) {
+  // could afford to wait. edf_select keeps this O(Q) under the queue mutex
+  // instead of stable_sorting the whole backlog.
+  if (options_.edf_dispatch && take < queue_.size()) {
     std::vector<std::uint64_t> deadlines;
-    deadlines.reserve(shard.queue.size());
-    for (const Pending& p : shard.queue) deadlines.push_back(p.deadline_us);
+    deadlines.reserve(queue_.size());
+    for (const Pending& p : queue_) deadlines.push_back(p.deadline_us);
     const std::vector<std::uint32_t> selected = edf_select(deadlines, take);
-    std::vector<char> taken(shard.queue.size(), 0);
+    std::vector<char> taken(queue_.size(), 0);
     for (const std::uint32_t idx : selected) {
-      out.push_back(std::move(shard.queue[idx]));
+      out.push_back(std::move(queue_[idx]));
       taken[idx] = 1;
     }
     // Compact the survivors in place; their relative (arrival) order is
     // preserved, which is what keeps the FIFO tie-break stable across
     // successive drains.
     std::size_t w = 0;
-    for (std::size_t r = 0; r < shard.queue.size(); ++r) {
+    for (std::size_t r = 0; r < queue_.size(); ++r) {
       if (taken[r]) continue;
-      if (w != r) shard.queue[w] = std::move(shard.queue[r]);
+      if (w != r) queue_[w] = std::move(queue_[r]);
       ++w;
     }
-    shard.queue.resize(w);
+    queue_.resize(w);
   } else {
     for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(std::move(shard.queue.front()));
-      shard.queue.pop_front();
+      out.push_back(std::move(queue_.front()));
+      queue_.pop_front();
     }
   }
-  shard.depth.store(shard.queue.size(), std::memory_order_relaxed);
-  pending_total_.fetch_sub(take, std::memory_order_relaxed);
 }
 
-bool QueryEngine::steal_batch(std::size_t thief_index,
-                              std::vector<Pending>& out) {
-  // Deepest-victim probe over the lock-free depth mirrors (racy reads are
-  // fine: this is a heuristic, correctness is re-checked under the
-  // victim's mutex).
-  std::size_t victim_index = thief_index;
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (i == thief_index) continue;
-    const std::size_t d = shards_[i]->depth.load(std::memory_order_relaxed);
-    if (d > best) {
-      best = d;
-      victim_index = i;
-    }
-  }
-  if (victim_index == thief_index) return false;
-  Shard& victim = *shards_[victim_index];
-  std::size_t take = 0;
-  {
-    // Only the victim's mutex is held — never two shard mutexes at once,
-    // so thieves cannot deadlock with each other or with producers.
-    std::lock_guard lock(victim.mutex);
-    if (victim.queue.empty()) return false;
-    const std::size_t window = options_.batch_window == 0
-                                   ? victim.queue.size()
-                                   : options_.batch_window;
-    take = std::min((victim.queue.size() + 1) / 2, window);
-    for (std::size_t i = 0; i < take; ++i) {
-      out.push_back(std::move(victim.queue.back()));
-      victim.queue.pop_back();
-    }
-    victim.depth.store(victim.queue.size(), std::memory_order_relaxed);
-  }
-  // The back of the deque is the newest work: the victim keeps the oldest
-  // entries (which it drains next anyway) and the thief's batch stays in
-  // FIFO order after the reversal. Stolen work skips EDF selection — it
-  // executes immediately, which is sooner than any EDF position.
-  std::reverse(out.end() - static_cast<long>(take), out.end());
-  pending_total_.fetch_sub(take, std::memory_order_relaxed);
-  n_steals_.fetch_add(1, std::memory_order_relaxed);
-  n_stolen_.fetch_add(take, std::memory_order_relaxed);
-  ServeMetrics& m = metrics();
-  m.steals.inc();
-  m.stolen_queries.inc(take);
-  Shard& thief = *shards_[thief_index];
-  thief.c_steals->inc();
-  thief.c_stolen->inc(take);
-  // The victim id is 1-based like every other serve-plane dispatcher id
-  // (results, exemplars, deadline-shed events; 0 = the sync path).
-  obs::FlightRecorder::instance().record(obs::FlightEventKind::kCustom,
-                                         "work-steal", take, victim_index + 1);
-  return true;
-}
-
-void QueryEngine::dispatcher_loop(std::size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
+void QueryEngine::dispatcher_loop() {
   std::vector<Pending> drained;
-  std::chrono::milliseconds idle_wait = kStealPollInterval;
   for (;;) {
     drained.clear();
     {
-      std::unique_lock lock(shard.mutex);
-      while (shard.queue.empty() && !stopping_.load()) {
-        if (shards_.size() > 1) {
-          // Idle: nap, then look for a sibling to steal from. A producer
-          // landing on *this* shard wakes the cv immediately, and one
-          // whose shard is backing up nudges a sibling's cv, so the nap
-          // only backstops a lost nudge. While nothing turns up the nap
-          // doubles toward the max — a quiescent engine converges to a
-          // handful of wakeups per second instead of a 1 ms busy-poll.
-          bool sibling_backlog = false;
-          for (std::size_t i = 0; i < shards_.size(); ++i) {
-            if (i != shard_index &&
-                shards_[i]->depth.load(std::memory_order_relaxed) > 0) {
-              sibling_backlog = true;
-              break;
-            }
-          }
-          if (sibling_backlog) break;
-          shard.cv.wait_for(lock, idle_wait);
-          idle_wait = std::min(idle_wait * 2, kStealPollIntervalMax);
-        } else {
-          shard.cv.wait(lock);
-        }
-      }
-      if (!shard.queue.empty()) {
-        drain_window(shard, drained);
-      } else if (stopping_.load()) {
-        // Own queue drained and the engine is stopping. Siblings drain
-        // their own queues before exiting, so no backlog is stranded.
-        return;
-      }
+      std::unique_lock lock(queue_mutex_);
+      queue_cv_.wait(lock, [&] { return !accepting_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopped and drained
+      drain_window(drained);
     }
-    if (drained.empty()) {
-      // Broke out of the wait on a sibling's backlog: steal outside our
-      // own mutex.
-      if (!steal_batch(shard_index, drained)) continue;
-    }
-    idle_wait = kStealPollInterval;  // work seen: restore steal latency
-    process_batch(shard_index, drained);
+    process_batch(drained);
   }
 }
 
-void QueryEngine::process_batch(std::size_t shard_index,
-                                std::vector<Pending>& drained) {
-  Shard& shard = *shards_[shard_index];
-  const std::uint32_t dispatcher_id =
-      static_cast<std::uint32_t>(shard_index) + 1;
+void QueryEngine::process_batch(std::vector<Pending>& drained) {
   ServeMetrics& m = metrics();
-  shard.c_queries->inc(drained.size());
 
   // Deadline shedding: a query whose budget elapsed while queued gets a
   // terminal outcome now instead of consuming a sweep it cannot use.
@@ -854,14 +661,12 @@ void QueryEngine::process_batch(std::size_t shard_index,
       shed.latency_us =
           static_cast<double>(drain_time - drained[i].enqueue_us);
       shed.trace_id = drained[i].ctx.trace_id;
-      shed.dispatcher = dispatcher_id;
       if (shed.trace_id != 0) {
         shed.breakdown.queue_us = drain_obs_us - drained[i].enqueue_obs_us;
         obs::RequestExemplar ex;
         ex.trace_id = shed.trace_id;
         ex.kind = static_cast<std::uint32_t>(drained[i].query.kind);
         ex.outcome = static_cast<std::uint32_t>(shed.outcome);
-        ex.dispatcher = dispatcher_id;
         ex.start_us = drained[i].enqueue_obs_us;
         ex.queue_us = shed.breakdown.queue_us;
         ex.total_us = shed.breakdown.queue_us;
@@ -875,16 +680,14 @@ void QueryEngine::process_batch(std::size_t shard_index,
   }
   if (deadline_sheds > 0) {
     obs::FlightRecorder::instance().record(obs::FlightEventKind::kShed,
-                                           "deadline", deadline_sheds,
-                                           dispatcher_id);
+                                           "deadline", deadline_sheds);
   }
   if (live.empty()) return;
 
   try {
-    shard.c_batches->inc();
     BatchMeta meta;
     std::vector<QueryResult> results =
-        execute(live, shard.context, dispatcher_id, &meta);
+        execute(live, dispatch_context_, &meta);
     const std::uint64_t done = now_us();
     const double done_obs_us = obs::Trace::now_us();
     const bool slo_on = obs::metrics_enabled();
@@ -905,7 +708,6 @@ void QueryEngine::process_batch(std::size_t shard_index,
         ex.epoch = r.epoch;
         ex.kind = static_cast<std::uint32_t>(pending.query.kind);
         ex.outcome = static_cast<std::uint32_t>(r.outcome);
-        ex.dispatcher = dispatcher_id;
         ex.cache_hit = r.cache_hit;
         ex.start_us = pending.enqueue_obs_us;
         ex.queue_us = r.breakdown.queue_us;
@@ -944,15 +746,11 @@ ServeStats QueryEngine::stats() const {
   s.shed_shutdown = n_shed_shutdown_.load(std::memory_order_relaxed);
   s.unreachable = n_unreachable_.load(std::memory_order_relaxed);
   s.epochs_adopted = n_epochs_adopted_.load(std::memory_order_relaxed);
-  s.steals = n_steals_.load(std::memory_order_relaxed);
-  s.stolen_queries = n_stolen_.load(std::memory_order_relaxed);
   return s;
 }
 
 std::size_t QueryEngine::cached_rows_locked() const {
-  std::size_t total = sync_context_.rows.size();
-  for (const auto& shard : shards_) total += shard->context.rows.size();
-  return total;
+  return sync_context_.rows.size() + dispatch_context_.rows.size();
 }
 
 std::size_t QueryEngine::cached_rows() const {
@@ -960,7 +758,7 @@ std::size_t QueryEngine::cached_rows() const {
   // count delta in at batch end (owner-only watermark) and adoption
   // re-syncs it under the exclusive lock. Taking the exclusive substrate
   // lock here instead would turn every introspection poll into a barrier
-  // that stalls all dispatcher shards and sync callers.
+  // that stalls the dispatcher and sync callers.
   const std::int64_t v = n_cached_rows_.load(std::memory_order_relaxed);
   return v > 0 ? static_cast<std::size_t>(v) : 0;
 }

@@ -22,10 +22,10 @@
 //    scan-resistant 2Q caches (serve/lru_cache.hpp), one per execution
 //    context, so repeat sources are cache hits; route rows fill lazily
 //    (routing/tables LazyRoutingTables); admission control
-//    (serve/admission.hpp) bounds the pending queue globally and sheds
+//    (serve/admission.hpp) bounds the pending queue and sheds
 //    deadline-expired queries with packet_sim-style terminal outcomes, so
 //    overload degrades throughput, never accounting: served + shed ==
-//    submitted, always — across every shard.
+//    submitted, always.
 //
 //  * Epoch snapshots.  The engine never reads a mutable graph: it serves
 //    from immutable ServeSnapshots pinned out of a SnapshotStore
@@ -40,46 +40,40 @@
 //    required), the batch is shed with the structured kShedDegraded
 //    outcome instead of stalling or serving uncertified answers.
 //
-// Thread model — the N-way sharded dispatcher:
+// Thread model — one EDF queue, one dispatcher thread:
 //
-//   producers ──route──▶ shard 0 deque ──▶ dispatcher 0 ─┐
-//              (hash or  shard 1 deque ──▶ dispatcher 1 ─┼─▶ shared pinned
-//          least-loaded)        …                 …      │    snapshot
-//                        shard N-1     ──▶ dispatcher N-1┘   (one pin/epoch)
+//   producers ──submit()──▶ pending deque ──▶ dispatcher ──▶ pinned snapshot
+//                          (queue_mutex_)                    (one pin/epoch)
+//   serve_batch() callers ───────────────────────────────────────▲
 //
-//  * submit() routes each query to a shard (ServeOptions::routing):
-//    two-choice least-loaded balances skewed producers; hash routing is
-//    source-affine so a repeat endpoint hits the shard whose cache holds
-//    its row. Admission is reserved against one global atomic, so the
-//    queue bound and conservation hold engine-wide, not per shard.
-//  * Each dispatcher drains its own deque earliest-deadline-first and
-//    executes batches concurrently with its siblings. An idle dispatcher
-//    steals the newest half of the deepest sibling backlog, so one hot
-//    shard cannot stall the others' capacity.
-//  * All dispatchers serve under ONE pinned snapshot. Per batch, epoch
-//    currency costs two atomic loads (store epoch vs adopted epoch); only
-//    when they differ does a dispatcher take the exclusive substrate lock
-//    and adopt — pinning once, dropping every context's row cache once,
-//    and rebinding the route tables once per epoch, no matter how many
-//    dispatchers are in flight (SnapshotStore::pin_if_newer makes the
-//    race-losing adopters free).
+//  * submit() enqueues under queue_mutex_; admission is decided against
+//    the exact queue depth under that same mutex. The dispatcher drains up
+//    to one batch window per wake, earliest-deadline-first, so every
+//    distinct source pending at that moment shares one 64-wide sweep.
+//    Splitting the queue across several dispatcher threads was measured to
+//    multiply sweeps instead of parallelizing them (a 64-lane sweep costs
+//    about the same for 1 source as for 64), so there is one queue.
+//  * The dispatcher and synchronous serve_batch() callers each own an
+//    execution context (row cache) and run concurrently under the shared
+//    substrate lock. Per batch, epoch currency costs two atomic loads
+//    (store epoch vs adopted epoch); only when they differ does an
+//    executor take the exclusive substrate lock and adopt — pinning once,
+//    dropping every context's row cache once, and rebinding the route
+//    tables once per epoch (SnapshotStore::pin_if_newer makes the race-
+//    losing adopter free).
 //  * stop() is shed-safe: producers racing it get futures resolved with
 //    kShedShutdown (counted in conservation) instead of a crash, and every
-//    query enqueued before the shard's dispatcher observed the stop is
-//    drained. A submit that enqueues does so under its shard mutex after
-//    reading accepting_ == true; stop() clears accepting_ before raising
-//    stopping_, and a dispatcher exits only after seeing stopping_ with an
-//    empty deque under that same mutex — so an enqueue either precedes the
-//    dispatcher's final check (and is drained) or observes accepting_ ==
-//    false (and sheds). All three flags are seq_cst.
+//    query enqueued before the stop is drained. accepting_ is a plain flag
+//    read and written only under queue_mutex_: a submit either enqueues
+//    before stop() clears it (and the dispatcher, which exits only once
+//    the flag is clear and the queue empty, drains the query) or sees it
+//    clear and sheds.
 //
 // serve_batch() remains the synchronous core (benches, tests, and the
-// soak's lockstep mode use it directly); sync callers serialize on their
-// own context and run concurrently with the dispatcher shards.
+// soak use it directly); sync callers serialize on their own context and
+// run concurrently with the dispatcher.
 //
-// Instrumentation: a trace span per dispatched batch, serve.* counters,
-// per-shard serve.shard.<i>.{queries,batches,steals,stolen_queries}
-// counters, the dispatcher id on every result/exemplar, and
+// Instrumentation: a trace span per executed batch, serve.* counters, and
 // serve.latency.us / serve.batch.queries histograms — see docs/serving.md
 // and docs/observability.md.
 
@@ -155,29 +149,14 @@ struct QueryResult {
   double latency_us = 0.0;
   /// Request trace id (obs/request_trace); 0 when tracing is off.
   std::uint64_t trace_id = 0;
-  /// Dispatcher shard that executed (or deadline-shed) this query,
-  /// 1-based; 0 = synchronous serve_batch() path or shed before reaching
-  /// a dispatcher (admission/shutdown).
-  std::uint32_t dispatcher = 0;
   /// Distance query answered from the 2Q row cache without a sweep.
   bool cache_hit = false;
   QueryLatencyBreakdown breakdown;
 };
 
-/// How submit() picks a shard when ServeOptions::dispatchers > 1.
-enum class ShardRouting : std::uint8_t {
-  /// Two-choice least-loaded: probe two rotating shards, enqueue on the
-  /// shallower. Balances skewed producers; the default.
-  kLeastLoaded,
-  /// Source-affine hash of the query's BFS endpoint (distance: u, route:
-  /// v): a repeat endpoint always lands on the shard whose 2Q cache holds
-  /// its row. Work stealing backstops the skew this can create.
-  kHash,
-};
-
 struct ServeOptions {
-  /// Distance rows kept in each execution context's 2Q cache (one context
-  /// per dispatcher shard, plus one for the synchronous path).
+  /// Distance rows kept in each execution context's 2Q cache (one for the
+  /// dispatcher, one for the synchronous path).
   std::size_t cache_rows = 256;
   /// Queries drained per dispatch; larger windows coalesce better but add
   /// queueing latency under saturation.
@@ -185,13 +164,7 @@ struct ServeOptions {
   AdmissionOptions admission;
   /// Tie-break seed for lazily built route tables.
   std::uint64_t seed = 1;
-  /// Dispatcher threads draining the submit queue. 1 (the default)
-  /// preserves single-dispatcher behavior; N > 1 shards the pending queue
-  /// N ways — see the thread-model diagram above.
-  std::size_t dispatchers = 1;
-  /// Shard-routing policy for submit() (ignored when dispatchers == 1).
-  ShardRouting routing = ShardRouting::kLeastLoaded;
-  /// Drain each shard's pending queue earliest-deadline-first, so
+  /// Drain the pending queue earliest-deadline-first, so
   /// near-deadline queries are not shed behind fresh no-deadline arrivals
   /// when the backlog exceeds one batch window.
   bool edf_dispatch = true;
@@ -223,7 +196,7 @@ struct ServeOptions {
 };
 
 /// Monotonic tallies, readable concurrently with serving. Conservation
-/// holds globally across shards once the engine is drained:
+/// holds once the engine is drained:
 /// queries == served + shed_admission + shed_deadline + shed_degraded
 ///            + shed_shutdown.
 struct ServeStats {
@@ -243,8 +216,6 @@ struct ServeStats {
   std::uint64_t shed_shutdown = 0;
   std::uint64_t unreachable = 0;
   std::uint64_t epochs_adopted = 0;  ///< snapshot swaps observed (≥ 1)
-  std::uint64_t steals = 0;          ///< work-steal operations between shards
-  std::uint64_t stolen_queries = 0;  ///< queries moved by those steals
 };
 
 /// Indices of the `take` most deadline-pressed entries of `deadlines`, in
@@ -252,7 +223,7 @@ struct ServeStats {
 /// deadlines dispatch FIFO (by index). Equivalent to a stable_sort of the
 /// whole backlog by effective deadline truncated to `take`, but via an
 /// O(Q) nth_element partition plus an O(take log take) sort of the window
-/// only — this runs under a shard's queue mutex, squarely in the
+/// only — this runs under the queue mutex, squarely in the
 /// producers' critical section, so the full-backlog O(Q log Q) sort it
 /// replaces was a submit-side stall. Exposed for the equivalence test.
 std::vector<std::uint32_t> edf_select(std::span<const std::uint64_t> deadlines,
@@ -280,29 +251,29 @@ class QueryEngine {
   /// BFS endpoint, sweeps cache misses through 64-wide MS-BFS batches,
   /// fills route rows lazily, and returns results in input order. Safe to
   /// call from any thread (sync callers serialize on a dedicated context;
-  /// dispatcher shards keep running). Sheds the whole batch with
+  /// the dispatcher keeps running). Sheds the whole batch with
   /// kShedDegraded when the pinned certificate is below the serving
-  /// policy (see ServeOptions::shed_at).
+  /// policy (see ServeOptions::shed_at). Every query is range-checked
+  /// before anything is counted, so a rejected batch leaves no trace in
+  /// the stats.
   std::vector<QueryResult> serve_batch(std::span<const Query> queries);
 
   /// One-query convenience wrapper over serve_batch.
   QueryResult serve_one(const Query& query);
 
   // --- concurrent path ----------------------------------------------------
-  /// Starts the dispatcher shards (ServeOptions::dispatchers threads).
-  /// Idempotent.
+  /// Starts the dispatcher thread. Idempotent.
   void start();
-  /// Drains every shard's pending queue, then stops the dispatchers.
-  /// Idempotent; also run by the destructor.
+  /// Drains the pending queue, then stops the dispatcher. Idempotent; also
+  /// run by the destructor.
   void stop();
 
-  /// Enqueues a query for batched dispatch on one of the shards. The
-  /// returned future is already resolved with kShedAdmission when the
-  /// global pending bound is full, and with kShedShutdown when the engine
-  /// is not accepting (never started, stopping, or stopped — a producer
-  /// racing stop() sheds cleanly instead of crashing). If the query's
-  /// deadline passes before its batch is drained it resolves with
-  /// kShedDeadline.
+  /// Enqueues a query for batched dispatch. The returned future is
+  /// already resolved with kShedAdmission when the pending bound is full,
+  /// and with kShedShutdown when the engine is not accepting (never
+  /// started, stopping, or stopped — a producer racing stop() sheds
+  /// cleanly instead of crashing). If the query's deadline passes before
+  /// its batch is drained it resolves with kShedDeadline.
   std::future<QueryResult> submit(const Query& query);
 
   ServeStats stats() const;
@@ -317,7 +288,6 @@ class QueryEngine {
   /// a lock-free mirror (safe to poll while serving; never a barrier);
   /// exact whenever no batch is mid-execution.
   std::size_t cached_rows() const;
-  std::size_t num_dispatchers() const { return shards_.size(); }
 
   /// Fault injection for the chaos-soak harness: skip the distance-row
   /// cache drop on epoch adoption, so rows materialized under a pre-
@@ -343,8 +313,8 @@ class QueryEngine {
   };
 
   /// Per-executor serving state: the 2Q distance-row cache plus the
-  /// exported-tally watermarks for it. Each dispatcher shard owns one and
-  /// the synchronous path owns one; only the owner touches it (under the
+  /// exported-tally watermarks for it. The dispatcher owns one and the
+  /// synchronous path owns one; only the owner touches it (under the
   /// shared substrate lock), except epoch adoption, which clears every
   /// cache under the exclusive lock. Owner-only watermarks are what make
   /// the cache-metric delta export race-free: the old engine re-read
@@ -360,44 +330,16 @@ class QueryEngine {
     explicit ServeContext(std::size_t capacity) : rows(capacity) {}
   };
 
-  /// One dispatcher shard: its slice of the pending queue plus its
-  /// execution context and obs counters.
-  struct Shard {
-    std::mutex mutex;  ///< guards queue (and the accepting_ check+enqueue)
-    std::condition_variable cv;
-    std::deque<Pending> queue;
-    /// queue.size() mirror for lock-free routing/steal-victim probes
-    /// (approximate reads are fine: both are load-balance heuristics).
-    std::atomic<std::size_t> depth{0};
-    std::thread dispatcher;
-    ServeContext context;
-    obs::Counter* c_queries = nullptr;  // serve.shard.<i>.*
-    obs::Counter* c_batches = nullptr;
-    obs::Counter* c_steals = nullptr;
-    obs::Counter* c_stolen = nullptr;
-    explicit Shard(std::size_t cache_rows) : context(cache_rows) {}
-  };
-
-  /// Shared constructor tail: epoch bookkeeping, substrate bind, shard +
-  /// per-shard counter creation.
+  /// Shared constructor tail: epoch bookkeeping and substrate bind.
   void init_engine();
 
-  void dispatcher_loop(std::size_t shard_index);
+  void dispatcher_loop();
   /// Deadline-sheds then executes one drained batch and resolves its
-  /// futures; `dispatcher_id` is 1-based (stamped on results/exemplars).
-  void process_batch(std::size_t shard_index, std::vector<Pending>& drained);
-  /// Drains up to one batch window from `shard.queue` (EDF selection when
-  /// the backlog exceeds the window). Caller holds shard.mutex.
-  void drain_window(Shard& shard, std::vector<Pending>& out);
-  /// Steals the newest half of the deepest sibling backlog into `out`.
-  /// Returns false when no sibling has queued work. Takes only the
-  /// victim's mutex (never two shard mutexes at once).
-  bool steal_batch(std::size_t thief_index, std::vector<Pending>& out);
-  /// Picks the shard index for one submitted query (ServeOptions::routing).
-  std::size_t route_shard(const Query& query);
-  /// Reserves one slot against the global pending bound (CAS, exact across
-  /// shards). Drains/steals release with fetch_sub.
-  bool reserve_pending();
+  /// futures.
+  void process_batch(std::vector<Pending>& drained);
+  /// Drains up to one batch window from queue_ (EDF selection when the
+  /// backlog exceeds the window). Caller holds queue_mutex_.
+  void drain_window(std::vector<Pending>& out);
 
   /// The coalesced serving core: runs under the shared substrate lock with
   /// the caller-owned `ctx` caches; counts everything except query intake,
@@ -406,7 +348,6 @@ class QueryEngine {
   /// causal coordinates.
   std::vector<QueryResult> execute(std::span<const Query> queries,
                                    ServeContext& ctx,
-                                   std::uint32_t dispatcher_id,
                                    BatchMeta* meta = nullptr);
   /// Epoch-currency check: two atomic loads on the fast path; on a change,
   /// upgrades to the exclusive substrate lock and adopts (exactly one
@@ -452,25 +393,22 @@ class QueryEngine {
   std::mutex route_mutex_;
   std::atomic<bool> stale_cache_bug_{false};
 
-  // Dispatcher shards (fixed at construction) and the synchronous path's
-  // context. sync_mutex_ serializes concurrent serve_batch() callers.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // The pending queue and its dispatcher. accepting_ is read and written
+  // only under queue_mutex_ (see the shutdown argument in the file
+  // header); lifecycle_mutex_ serializes start()/stop(), which alone touch
+  // dispatcher_ (joinable exactly while the engine runs).
+  std::mutex queue_mutex_;
+  std::condition_variable queue_cv_;
+  std::deque<Pending> queue_;
+  bool accepting_ = false;
+  std::mutex lifecycle_mutex_;
+  std::thread dispatcher_;
+  ServeContext dispatch_context_;
+
+  // The synchronous path's context; sync_mutex_ serializes concurrent
+  // serve_batch() callers.
   ServeContext sync_context_;
   std::mutex sync_mutex_;
-
-  // Lifecycle. All seq_cst: the shutdown-shed safety argument in the file
-  // header leans on the single total order of accepting_/stopping_ stores
-  // and loads. lifecycle_mutex_ serializes start()/stop() themselves.
-  std::mutex lifecycle_mutex_;
-  std::atomic<bool> accepting_{false};
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  /// Queries queued across all shards, bounded by the admission policy.
-  std::atomic<std::size_t> pending_total_{0};
-  /// Rotor for two-choice least-loaded routing.
-  std::atomic<std::uint64_t> rotor_{0};
-  /// Rotor spreading submit()'s steal nudges across sibling shards.
-  std::atomic<std::uint64_t> nudge_rotor_{0};
 
   // Stats mirrors (relaxed atomics so stats() never takes a lock). Cache
   // tallies accumulate owner-computed deltas from each context.
@@ -478,8 +416,7 @@ class QueryEngine {
       n_served_{0}, n_batches_{0}, n_sources_{0}, n_hits_{0}, n_misses_{0},
       n_evictions_{0}, n_rows_filled_{0}, n_shed_admission_{0},
       n_shed_deadline_{0}, n_shed_degraded_{0}, n_shed_shutdown_{0},
-      n_unreachable_{0}, n_epochs_adopted_{0}, n_steals_{0}, n_stolen_{0},
-      serving_epoch_{0};
+      n_unreachable_{0}, n_epochs_adopted_{0}, serving_epoch_{0};
   /// Lock-free cached_rows() mirror: owners fold their context's row-count
   /// delta in at batch end; adoption re-syncs it under the exclusive lock.
   /// Signed because an executor can net-shrink its cache (evictions).

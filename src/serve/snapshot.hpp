@@ -92,12 +92,12 @@ class SnapshotStore {
   SnapshotRef pin() const;
 
   /// Pins only when the published epoch is newer than `epoch`; returns
-  /// null (and counts a skipped pin) when it is not. This is the
-  /// multi-dispatcher serving fast path: dispatchers compare epochs with
-  /// one atomic load per batch, and after a publish only the first
-  /// adopter pays the store mutex — one pin per epoch, not one per batch
-  /// per dispatcher. The returned snapshot's epoch is always > `epoch`
-  /// (the published epoch never moves backwards).
+  /// null (and counts a skipped pin) when it is not. This is the serving
+  /// fast path: executors (the dispatcher and synchronous callers)
+  /// compare epochs with one atomic load per batch, and after a publish
+  /// only the first adopter pays the store mutex — one pin per epoch, not
+  /// one per batch per executor. The returned snapshot's epoch is always
+  /// > `epoch` (the published epoch never moves backwards).
   SnapshotRef pin_if_newer(std::uint64_t epoch) const;
 
   std::uint64_t current_epoch() const {
@@ -118,8 +118,8 @@ class SnapshotStore {
   std::uint64_t live() const { return published() - retired(); }
   std::uint64_t pins() const { return pins_.load(std::memory_order_relaxed); }
   /// pin_if_newer() calls answered without pinning (epoch unchanged) —
-  /// the per-dispatcher accounting that shows N dispatchers sharing one
-  /// pin per epoch instead of re-pinning per batch.
+  /// the accounting that shows concurrent executors sharing one pin per
+  /// epoch instead of re-pinning per batch.
   std::uint64_t pin_skips() const {
     return pin_skips_.load(std::memory_order_relaxed);
   }

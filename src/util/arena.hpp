@@ -8,10 +8,9 @@
 // sweeps on local memory is simple: every worker allocates its own
 // arenas, and ArenaBuffer touches every page of newly grown capacity
 // from the owning thread at grow time (instead of leaving the first
-// touch to whatever thread happens to write first later). Combined with
-// optional worker pinning (DCS_PIN_THREADS, see util/thread_pool.hpp),
-// this pins each worker's scratch to its own node without a libnuma
-// dependency. See docs/performance.md.
+// touch to whatever thread happens to write first later), which places
+// each worker's scratch on its own node without a libnuma dependency.
+// See docs/performance.md.
 
 #include <cassert>
 #include <cstddef>

@@ -1,14 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#include <unistd.h>
-#endif
 
 namespace dcs {
 
@@ -34,28 +26,6 @@ class RegionGuard {
  private:
   bool previous_;
 };
-
-bool pin_threads_requested() {
-  const char* v = std::getenv("DCS_PIN_THREADS");
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
-// Pin the calling thread to one CPU, round-robin over the online set.
-// Best-effort: a failed setaffinity (cgroup restrictions, shrunk cpuset)
-// silently leaves the thread unpinned.
-void maybe_pin_current_thread(std::size_t slot) {
-#ifdef __linux__
-  if (!pin_threads_requested()) return;
-  const long ncpu = sysconf(_SC_NPROCESSORS_ONLN);
-  if (ncpu <= 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(slot % static_cast<std::size_t>(ncpu)), &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)slot;
-#endif
-}
 
 }  // namespace
 
@@ -97,8 +67,6 @@ void ThreadPool::warm(const std::function<void(std::size_t)>& fn) {
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
-  // Slot 0 is the caller; workers occupy slots 1..n-1.
-  maybe_pin_current_thread(index + 1);
   std::uint64_t seen_generation = 0;
   for (;;) {
     Job job;
@@ -137,15 +105,20 @@ void ThreadPool::parallel_ranges(
   // the already-busy pool: the outer batch's pending_ latch can never
   // reach zero while this thread blocks on the inner one. Degrade to
   // serial, exactly like parallel_for does. A pool with no workers
-  // (size() == 1) takes the same path.
-  if (workers_.empty() || detail::in_parallel_region()) {
+  // (size() == 1) takes the same path. (Checked before the try-lock below:
+  // the caller's own chunk already holds submit_mutex_.)
+  const auto run_serial = [&] {
     RegionGuard guard;
     fn(begin, end, 0);
-    return;
-  }
-  // Serialize concurrent top-level callers (e.g. a serving thread and the
-  // main thread): jobs_/pending_/generation_ describe one batch at a time.
-  std::lock_guard submit_lock(submit_mutex_);
+  };
+  if (workers_.empty() || detail::in_parallel_region()) return run_serial();
+  // jobs_/pending_/generation_ describe one batch at a time, so a second
+  // top-level caller (e.g. a serving thread beside the main thread) runs
+  // serially too instead of blocking on the batch in flight. The submit
+  // lock is only ever try-locked: a caller that blocked here while holding
+  // its own lock could deadlock against an in-flight body waiting for it.
+  std::unique_lock submit_lock(submit_mutex_, std::try_to_lock);
+  if (!submit_lock.owns_lock()) return run_serial();
   const std::size_t total = end - begin;
   const std::size_t workers = size();
   const std::size_t chunk = (total + workers - 1) / workers;

@@ -9,10 +9,7 @@
 // queue contention, no atomics on the hot path, cache-friendly ranges.
 //
 // NUMA: workers allocate their own thread-local scratch (first-touch, see
-// util/arena.hpp), so memory locality follows thread placement. Setting
-// DCS_PIN_THREADS=1 pins each worker to a fixed CPU (round-robin over the
-// online set, Linux only), which keeps a worker — and therefore its
-// first-touched arenas — on one node across repeated sweeps.
+// util/arena.hpp), so memory locality follows thread placement.
 
 #include <condition_variable>
 #include <cstddef>
@@ -41,8 +38,11 @@ class ThreadPool {
   ///
   /// Safe to call from inside a parallel region (including the pool's own
   /// workers): nested calls degrade to serial execution of the whole range
-  /// instead of deadlocking on the pool's completion latch. Concurrent
-  /// top-level calls from different threads serialize on an internal mutex.
+  /// instead of deadlocking on the pool's completion latch. A top-level
+  /// call that finds another thread's batch in flight also runs serially
+  /// on its own thread rather than waiting: a caller holding a lock that
+  /// the in-flight batch's body needs (the query engine serving from
+  /// inside a parallel_for) would otherwise deadlock.
   void parallel_ranges(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
@@ -51,7 +51,8 @@ class ThreadPool {
   /// calling thread, as index 0). Used to warm per-thread state — e.g.
   /// first-touching traversal scratch arenas on each worker's NUMA node
   /// before a timed region. Degrades to serial execution of all indices
-  /// on the caller when invoked from inside a parallel region.
+  /// on the caller when invoked from inside a parallel region or while
+  /// another batch is in flight.
   void warm(const std::function<void(std::size_t)>& fn);
 
   /// Process-wide shared pool (lazily constructed).
@@ -68,7 +69,7 @@ class ThreadPool {
   };
 
   std::vector<std::thread> workers_;
-  std::mutex submit_mutex_;  // one batch in flight at a time
+  std::mutex submit_mutex_;  // one batch in flight at a time (try-locked)
   std::mutex mutex_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;

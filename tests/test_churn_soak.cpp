@@ -502,31 +502,6 @@ TEST(Soak, QueriesFlowDuringChurnAndStayCertified) {
   EXPECT_EQ(replayed.queries_shed, a.queries_shed);
 }
 
-TEST(Soak, ShardedDispatchersServeChurnTrafficCertified) {
-  const Graph g = test_network();
-  const auto built = build_regular_spanner(g, {.seed = 5});
-  auto o = small_soak_options();
-  o.qps = 8;
-  o.dispatchers = 4;  // waves flow through submit() futures across shards
-  const auto a = run_soak(g, built.spanner.h, o);
-  EXPECT_TRUE(a.ok()) << a.summary();
-  EXPECT_EQ(a.query_batches, a.waves_run);
-  EXPECT_EQ(a.queries_submitted, a.waves_run * o.qps);
-  EXPECT_EQ(a.queries_served + a.queries_shed, a.queries_submitted);
-  EXPECT_GT(a.queries_served, 0u);
-  EXPECT_GT(a.epochs_adopted, 1u);
-
-  // Shard count must not change what gets served: the invariant already
-  // checked every answer against the pinned snapshot; the serve/shed
-  // tallies must match the synchronous single-dispatcher run too.
-  SoakOptions sync = o;
-  sync.dispatchers = 1;
-  const auto b = run_soak(g, built.spanner.h, sync);
-  EXPECT_TRUE(b.ok()) << b.summary();
-  EXPECT_EQ(a.queries_served, b.queries_served);
-  EXPECT_EQ(a.queries_shed, b.queries_shed);
-}
-
 TEST(Soak, CatchesTheInjectedStaleCacheBugAndMinimizes) {
   const Graph g = test_network();
   const auto built = build_regular_spanner(g, {.seed = 5});

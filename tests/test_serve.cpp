@@ -317,6 +317,31 @@ TEST(QueryEngine, DisconnectedPairsReportUnreachable) {
   EXPECT_EQ(engine.stats().unreachable, 2u);
 }
 
+TEST(QueryEngine, RejectedBatchLeavesNoTraceInTheStats) {
+  // An out-of-range query rejects the whole batch before anything is
+  // counted: the conservation identity must survive the throw.
+  GraphBuilder b(8);
+  for (Vertex v = 0; v + 1 < 8; ++v) b.add_edge(v, v + 1);
+  const Graph h = b.build();
+  QueryEngine engine(h);
+  const std::vector<Query> bad{{QueryKind::kDistance, 0, 7, 0},
+                               {QueryKind::kDistance, 0, 99, 0}};
+  EXPECT_THROW(engine.serve_batch(bad), std::invalid_argument);
+  auto s = engine.stats();
+  EXPECT_EQ(s.served + s.shed_admission + s.shed_deadline + s.shed_degraded +
+                s.shed_shutdown,
+            s.queries);
+  EXPECT_EQ(s.queries, 0u);
+  EXPECT_EQ(s.batches, 0u);
+
+  // The engine still serves, and counts, a valid batch afterwards.
+  EXPECT_EQ(engine.serve_one({QueryKind::kDistance, 0, 7, 0}).distance, 7u);
+  s = engine.stats();
+  EXPECT_EQ(s.queries, 1u);
+  EXPECT_EQ(s.served, 1u);
+  EXPECT_EQ(s.batches, 1u);
+}
+
 // --- cache behaviour inside the engine -----------------------------------
 
 TEST(QueryEngine, RepeatSourcesHitTheRowCache) {
@@ -818,7 +843,7 @@ TEST(QueryEngine, SnapshotSwapHammerStaysExactPerEpoch) {
   EXPECT_GE(engine.stats().epochs_adopted, 2u);
 }
 
-// --- sharded dispatcher ----------------------------------------------------
+// --- EDF selection and dispatcher lifecycle --------------------------------
 
 TEST(Admission, EdfSelectMatchesStableSortReference) {
   // edf_select replaces a full stable_sort of the backlog; the contract is
@@ -876,7 +901,6 @@ TEST(QueryEngine, ShutdownRaceShedsInsteadOfAborting) {
     truth[u] = bfs_distances(h, u);
   }
   ServeOptions options;
-  options.dispatchers = 2;
   options.cache_rows = 8;
   QueryEngine engine(h, options);
 
@@ -910,7 +934,7 @@ TEST(QueryEngine, ShutdownRaceShedsInsteadOfAborting) {
     });
   }
   // Start/stop churn while the producers run: each cycle opens a fresh
-  // race window between accepting_ falling and the dispatchers exiting.
+  // race window between accepting_ falling and the dispatcher exiting.
   for (int cycle = 0; cycle < 12; ++cycle) {
     engine.start();
     std::this_thread::sleep_for(std::chrono::microseconds(500));
@@ -933,14 +957,14 @@ TEST(QueryEngine, ShutdownRaceShedsInsteadOfAborting) {
 }
 
 TEST(QueryEngine, IdleSingleDispatcherStartStopCyclesDoNotHang) {
-  // Regression: stop() used to store stopping_ and notify without passing
-  // through the shard mutex, so the notify could land between the single
+  // Regression: stop() used to store its stop flag and notify without passing
+  // through the queue mutex, so the notify could land between the
   // dispatcher's predicate check and its unbounded cv.wait() and be lost —
   // the dispatcher slept forever and stop() deadlocked in join(). Idle
   // cycles (no producers ever wake the cv) keep the dispatcher in the
   // predicate-check/wait entry window stop() has to race.
   const Graph h = test_graph(64, 4, 83);
-  QueryEngine engine(h);  // dispatchers = 1: the unbounded-wait path
+  QueryEngine engine(h);
   for (int cycle = 0; cycle < 200; ++cycle) {
     engine.start();
     engine.stop();
@@ -948,158 +972,12 @@ TEST(QueryEngine, IdleSingleDispatcherStartStopCyclesDoNotHang) {
   SUCCEED();
 }
 
-namespace {
-
-/// Drives `clients` seeded producer threads through an engine configured
-/// with `dispatchers` shards and returns one order-sensitive answer
-/// checksum per client (distance and route answers folded in submission
-/// order). Identical streams must produce identical checksums regardless
-/// of the dispatcher count.
-std::vector<std::uint64_t> run_dispatcher_corpus(const Graph& h,
-                                                 std::size_t dispatchers,
-                                                 std::size_t clients,
-                                                 std::size_t per_client) {
-  ServeOptions options;
-  options.dispatchers = dispatchers;
-  options.cache_rows = 32;
-  options.admission.queue_capacity = 0;  // unbounded: everything serves
-  QueryEngine engine(h, options);
-  engine.start();
-  std::vector<std::uint64_t> checksums(clients, 0);
-  std::vector<std::thread> threads;
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      Rng rng(42 * (c + 1));
-      std::uint64_t sum = 0;
-      for (std::size_t i = 0; i < per_client; ++i) {
-        Query q;
-        q.kind = i % 4 == 3 ? QueryKind::kRoute : QueryKind::kDistance;
-        q.u = static_cast<Vertex>(rng.uniform(h.num_vertices()));
-        q.v = static_cast<Vertex>(rng.uniform(h.num_vertices()));
-        const QueryResult r = engine.submit(q).get();
-        EXPECT_EQ(r.outcome, QueryOutcome::kServed);
-        sum = sum * 1099511628211ull +
-              (r.distance == kUnreachable ? 0xdead : r.distance + 1);
-        if (q.kind == QueryKind::kRoute) {
-          sum = sum * 1099511628211ull + r.path.size();
-        }
-      }
-      checksums[c] = sum;
-    });
-  }
-  for (auto& t : threads) t.join();
-  engine.stop();
-  const auto s = engine.stats();
-  EXPECT_EQ(s.queries, clients * per_client);
-  EXPECT_EQ(s.served, clients * per_client);
-  EXPECT_EQ(s.served + s.shed_admission + s.shed_deadline + s.shed_degraded +
-                s.shed_shutdown,
-            s.queries);
-  return checksums;
-}
-
-}  // namespace
-
-TEST(QueryEngine, MultiDispatcherMatchesSingleDispatcherChecksums) {
-  // Answer-equivalence across the sharding refactor: the same seeded
-  // client streams produce checksum-identical answers at dispatchers=1
-  // and dispatchers=4, with exact conservation at both.
-  const Graph h = test_graph(512, 6, 73);
-  const auto single = run_dispatcher_corpus(h, 1, 4, 150);
-  const auto sharded = run_dispatcher_corpus(h, 4, 4, 150);
-  EXPECT_EQ(single, sharded);
-}
-
-TEST(QueryEngine, MultiDispatcherSaturationKeepsGlobalConservation) {
-  // The admission bound is one global reservation across shards: four
-  // dispatchers against a 4-deep queue must still shed at admission and
-  // account every query exactly once.
-  const Graph h = test_graph(512, 8, 41);
-  ServeOptions options;
-  options.dispatchers = 4;
-  options.cache_rows = 1;  // defeat the cache: every batch pays BFS work
-  options.admission.queue_capacity = 4;
-  options.batch_window = 4;
-  QueryEngine engine(h, options);
-  engine.start();
-  constexpr std::size_t kThreads = 4, kPerThread = 300;
-  std::atomic<std::uint64_t> served{0}, shed{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(99 + t);
-      std::vector<std::future<QueryResult>> futures;
-      futures.reserve(kPerThread);
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        Query q;
-        q.u = static_cast<Vertex>(rng.uniform(h.num_vertices()));
-        q.v = static_cast<Vertex>(rng.uniform(h.num_vertices()));
-        futures.push_back(engine.submit(q));
-      }
-      for (auto& f : futures) {
-        if (f.get().outcome == QueryOutcome::kServed) {
-          served.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          shed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  engine.stop();
-  const auto s = engine.stats();
-  EXPECT_EQ(s.queries, kThreads * kPerThread);
-  EXPECT_EQ(s.served + s.shed_admission + s.shed_deadline + s.shed_shutdown,
-            kThreads * kPerThread);
-  EXPECT_EQ(served.load(), s.served);
-  EXPECT_EQ(shed.load(), s.shed_admission + s.shed_deadline);
-  EXPECT_GT(s.shed_admission, 0u);
-}
-
-TEST(QueryEngine, HashRoutedSkewIsRebalancedByStealing) {
-  // Source-affine hash routing concentrates a single-source flood on one
-  // shard; the other shard must steal from it instead of idling. The test
-  // replicates the engine's documented splitmix64 endpoint hash to build
-  // a stream that provably lands on one shard.
-  const auto mix = [](std::uint64_t x) {
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  };
-  const Graph h = test_graph(20000, 8, 103);
-  ServeOptions options;
-  options.dispatchers = 2;
-  options.routing = serve::ShardRouting::kHash;
-  options.cache_rows = 1;  // every source pays a real sweep
-  options.batch_window = 16;
-  options.admission.queue_capacity = 0;
-  QueryEngine engine(h, options);
-  engine.start();
-  std::vector<std::future<QueryResult>> futures;
-  Vertex u = 0;
-  for (std::size_t i = 0; i < 600; ++i) {
-    // Distinct sources, all hashing to shard 0 of 2.
-    while (mix(u) % 2 != 0) ++u;
-    futures.push_back(engine.submit(
-        {QueryKind::kDistance, u, static_cast<Vertex>(i % 100), 0}));
-    ++u;
-  }
-  for (auto& f : futures) {
-    EXPECT_EQ(f.get().outcome, QueryOutcome::kServed);
-  }
-  engine.stop();
-  const auto s = engine.stats();
-  EXPECT_EQ(s.served, 600u);
-  EXPECT_GT(s.steals, 0u);
-  EXPECT_GT(s.stolen_queries, 0u);
-}
-
-TEST(QueryEngine, SnapshotSwapHammerMultiDispatcher) {
-  // The dispatchers=4 rerun of the snapshot-swap hammer, driven through
-  // submit() so all four shards race epoch adoption: answers must stay
-  // exact on the epoch they report, conservation exact, and — the
-  // shared-pin guarantee — the store pinned at most once per published
-  // epoch, not once per batch per dispatcher.
+TEST(QueryEngine, SnapshotSwapHammerThroughSubmit) {
+  // The snapshot-swap hammer driven through submit(), so the dispatcher
+  // thread adopts epochs while four producers keep its queue busy: answers
+  // must stay exact on the epoch they report, conservation exact, and —
+  // the once-per-epoch guarantee — the store pinned at most once per
+  // published epoch, not once per batch.
   constexpr std::size_t kN = 64;
   const Graph a = test_graph(kN, 4, 121);
   const Graph b = test_graph(kN, 4, 122);
@@ -1111,7 +989,6 @@ TEST(QueryEngine, SnapshotSwapHammerMultiDispatcher) {
 
   SnapshotStore store(a, a);  // epoch 1 = variant a; parity keys the truth
   ServeOptions options;
-  options.dispatchers = 4;
   options.cache_rows = 16;
   options.admission.queue_capacity = 0;
   QueryEngine engine(store, options);
@@ -1169,7 +1046,7 @@ TEST(QueryEngine, SnapshotSwapHammerMultiDispatcher) {
   EXPECT_GE(store.published(), 121u);
   EXPECT_LE(store.live(), 2u);
   // One pin per adopted epoch (plus the constructor's), regardless of how
-  // many dispatcher batches ran: the pre-refactor engine pinned per batch.
+  // many batches ran.
   EXPECT_LE(store.pins(), 1 + store.published());
   EXPECT_GE(engine.stats().epochs_adopted, 2u);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -246,6 +247,37 @@ TEST(ThreadPool, ParallelRangesInsideParallelForDegradesToSerial) {
   for (std::size_t i = 0; i < outer; ++i) {
     ASSERT_EQ(hits[i].load(), inner);
   }
+}
+
+TEST(ThreadPool, BusyPoolRunsASecondCallerSeriallyInsteadOfBlocking) {
+  // Regression: a second top-level caller used to block on the batch in
+  // flight. Thread B's batch waits for a lock that thread A holds while A
+  // calls into the pool, so blocking deadlocked (the query engine holds
+  // its context lock across its parallel sweep; a parallel_for body that
+  // serves a query needs that lock). A must run its range serially.
+  std::mutex held;
+  std::atomic<bool> b_in_batch{false}, a_holds{false};
+  std::size_t a_covered = 0;
+  std::thread b([&] {
+    ThreadPool::shared().parallel_ranges(
+        0, 64, [&](std::size_t, std::size_t, std::size_t w) {
+          if (w != 0) return;
+          b_in_batch.store(true);
+          while (!a_holds.load()) std::this_thread::yield();
+          std::lock_guard wait_for_a(held);
+        });
+  });
+  while (!b_in_batch.load()) std::this_thread::yield();
+  {
+    std::lock_guard lock(held);
+    a_holds.store(true);
+    ThreadPool::shared().parallel_ranges(
+        0, 100, [&](std::size_t lo, std::size_t hi, std::size_t) {
+          a_covered += hi - lo;
+        });
+  }
+  b.join();
+  EXPECT_EQ(a_covered, 100u);
 }
 
 TEST(ThreadPool, ParallelForInsideParallelRangesDegradesToSerial) {

@@ -151,7 +151,6 @@ std::string g_replay_path;
 bool g_inject_repair_bug = false;
 bool g_inject_stale_cache_bug = false;
 std::uint64_t g_qps = 0;
-std::uint64_t g_dispatchers = 1;
 std::string g_stats_socket;
 bool g_top_once = false;
 std::uint64_t g_top_interval_ms = 1000;
@@ -188,7 +187,7 @@ extern "C" void handle_shutdown_signal(int) {
       "  dcs_tool resilience <in.graph> <spanner.graph> "
       "[edge-fraction] [vertex-faults] [seed]\n"
       "  dcs_tool soak <in.graph> <spanner.graph> [waves] [seed] "
-      "[--qps=N] [--dispatchers=N] [--replay=SCHEDULE] "
+      "[--qps=N] [--replay=SCHEDULE] "
       "[--inject-repair-bug] "
       "[--inject-stale-cache-bug] [--persist-dir=DIR] "
       "[--checkpoint-interval=N] [--crash-at-wave=N]\n"
@@ -551,13 +550,9 @@ int cmd_soak(const std::vector<std::string>& args) {
   o.artifacts_dir = g_artifacts_dir;
   o.inject_repair_bug = g_inject_repair_bug;
   o.qps = g_qps;
-  o.dispatchers = static_cast<std::size_t>(g_dispatchers);
   o.inject_stale_cache_bug = g_inject_stale_cache_bug;
   if (o.inject_stale_cache_bug && o.qps == 0) {
     usage("--inject-stale-cache-bug needs query traffic (--qps=N)");
-  }
-  if (o.dispatchers > 1 && o.qps == 0) {
-    usage("--dispatchers needs query traffic (--qps=N)");
   }
   o.persist_dir = g_persist_dir;
   o.checkpoint_interval = static_cast<std::size_t>(g_checkpoint_interval);
@@ -992,13 +987,6 @@ int main(int argc, char** argv) {
       g_inject_stale_cache_bug = true;
     } else if (a.rfind("--qps=", 0) == 0) {
       g_qps = std::strtoull(std::string(a.substr(6)).c_str(), nullptr, 10);
-    } else if (a.rfind("--dispatchers=", 0) == 0) {
-      const auto n = parse_u64_strict(a.substr(14));
-      if (!n || *n == 0) {
-        usage("--dispatchers needs a positive shard count: " +
-              std::string(a));
-      }
-      g_dispatchers = *n;
     } else if (a.rfind("--persist-dir=", 0) == 0) {
       g_persist_dir = a.substr(14);
     } else if (a.rfind("--checkpoint-interval=", 0) == 0) {
